@@ -32,94 +32,20 @@ if [[ $fast -eq 0 ]]; then
         python -m repro.experiments.runner all --render-from-cache --summary \
         --cache-dir "$smoke_dir/cache" --out "$smoke_dir/manifests"
 
-    # wait_coord LOG PID -> echoes the coordinator URL once it listens
-    wait_coord() {
-        local log="$1" pid="$2" url=""
-        for _ in $(seq 1 100); do
-            url=$(sed -n 's|.*listening on \(http://[^ ]*\).*|\1|p' \
-                "$log" | head -n1)
-            [[ -n "$url" ]] && { echo "$url"; return 0; }
-            kill -0 "$pid" 2>/dev/null || break
-            sleep 0.2
-        done
-        echo "coordinator did not start:" >&2; cat "$log" >&2; return 1
-    }
-
-    echo "== smoke: queued sweep (coordinator + 2 workers + merge --check) =="
-    serve_log="$smoke_dir/serve.log"
+    echo "== smoke: static shards (2 shards + merge --check vs --jobs 1) =="
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner serve --port 0 \
-        --cache-dir "$smoke_dir/queue-cache" >"$serve_log" 2>&1 &
-    serve_pid=$!
-    trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-    coord=$(wait_coord "$serve_log" "$serve_pid")
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
-        --coordinator "$coord"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord" \
-        --cache-dir "$smoke_dir/worker-a-cache" &
-    worker_pid=$!
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord" \
-        --cache-dir "$smoke_dir/worker-b-cache"
-    wait "$worker_pid"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
-        --coordinator "$coord" --wait --out "$smoke_dir/queue-manifests"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner sweep fig3 --quick \
+        python -m repro.experiments.runner sweep fig3 --quick --jobs 1 \
         --cache-dir "$smoke_dir/ref-cache" --out "$smoke_dir/ref-manifests"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner merge "$smoke_dir/queue-manifests" \
-        --out "$smoke_dir/merged" --check "$smoke_dir/ref-manifests"
-    kill "$serve_pid" 2>/dev/null || true
-
-    echo "== smoke: coordinator restart (--state-dir journal replay) =="
-    # half-drain a job, SIGKILL the coordinator, restart it on the same
-    # state dir, finish the drain, and re-check byte-identity
-    state_dir="$smoke_dir/state"
-    serve2_log="$smoke_dir/serve2.log"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner serve --port 0 \
-        --state-dir "$state_dir" \
-        --cache-dir "$smoke_dir/restart-cache" >"$serve2_log" 2>&1 &
-    serve2_pid=$!
-    trap 'kill "$serve_pid" "$serve2_pid" 2>/dev/null || true; \
-        rm -rf "$smoke_dir"' EXIT
-    coord2=$(wait_coord "$serve2_log" "$serve2_pid")
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
-        --coordinator "$coord2"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord2" \
-        --max-leases 1 --batch 2 \
-        --cache-dir "$smoke_dir/worker-c-cache"
-    kill -9 "$serve2_pid" 2>/dev/null || true
-    wait "$serve2_pid" 2>/dev/null || true
-    serve3_log="$smoke_dir/serve3.log"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner serve --port 0 \
-        --state-dir "$state_dir" \
-        --cache-dir "$smoke_dir/restart-cache" >"$serve3_log" 2>&1 &
-    serve3_pid=$!
-    trap 'kill "$serve_pid" "$serve2_pid" "$serve3_pid" 2>/dev/null \
-        || true; rm -rf "$smoke_dir"' EXIT
-    coord3=$(wait_coord "$serve3_log" "$serve3_pid")
-    grep -q "restored 1 job(s)" "$serve3_log" || {
-        echo "restarted coordinator did not restore the job:";
-        cat "$serve3_log"; exit 1; }
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner work --coordinator "$coord3" \
-        --cache-dir "$smoke_dir/worker-d-cache"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro.experiments.runner submit-sweep fig3 --quick \
-        --coordinator "$coord3" --wait --out "$smoke_dir/restart-manifests"
+    for shard in 0 1; do
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+            python -m repro.experiments.runner sweep fig3 --quick \
+            --shard "$shard/2" --cache-dir "$smoke_dir/shard-$shard-cache" \
+            --out "$smoke_dir/shard-$shard"
+    done
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
         python -m repro.experiments.runner merge \
-        "$smoke_dir/restart-manifests" --out "$smoke_dir/restart-merged" \
-        --check "$smoke_dir/ref-manifests"
-    kill "$serve3_pid" 2>/dev/null || true
+        "$smoke_dir/shard-0" "$smoke_dir/shard-1" \
+        --out "$smoke_dir/merged" --check "$smoke_dir/ref-manifests"
 fi
 
 echo "== all checks passed =="

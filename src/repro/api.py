@@ -23,16 +23,16 @@ Quick start::
 request body takes.  :class:`ScheduleRequest` is the wire-level
 request (what ``POST /v1/schedule`` carries), :class:`ScheduleResult`
 the wire-level response (what ``--json`` prints); both are frozen
-dataclasses with explicit ``to_wire``/``from_wire`` codecs.
+dataclasses with explicit ``to_wire``/``from_wire`` codecs.  Every
+surface checks the scalar fields with the same validator, so a bad
+buffer size or word width is the same ``ValueError`` from Python, an
+exit 2 from the CLI, and a 400 from HTTP.
 
-Keyword renames vs the internal spellings (``make_schedule``'s
-``net=`` is ``network=`` here, its ``cfg=`` is ``hardware=``) are
-shimmed: the old spellings still work but emit a one-time
-``DeprecationWarning``.
+The facade spells ``make_schedule``'s ``net=`` as ``network=`` and
+its ``cfg=`` as ``hardware=``.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -46,7 +46,7 @@ from repro.core.policies import (
     sweep_schedules,
 )
 from repro.core.schedule import Schedule
-from repro.core.traffic import compute_traffic
+from repro.core.traffic import TrafficOptions, compute_traffic
 from repro.graph.network import Network
 from repro.graph.serialize import (
     GraphSchemaError,
@@ -60,12 +60,9 @@ from repro.zoo import build as build_zoo_network
 
 __all__ = [
     "GroupSummary",
-    "LeaseGrant",
     "MIB",
     "ScheduleRequest",
     "ScheduleResult",
-    "SweepJobRequest",
-    "SweepJobStatus",
     "objectives",
     "policies",
     "price",
@@ -75,11 +72,6 @@ __all__ = [
 
 #: Wire-schema version shared by ScheduleRequest/ScheduleResult.
 SCHEMA_VERSION = 1
-
-#: Internal keyword spellings the facade renamed; passing one still
-#: works but warns once per process (satellite: deprecation shims).
-_RENAMED_KWARGS = {"net": "network", "cfg": "hardware"}
-_warned_kwargs: set[str] = set()
 
 
 def policies() -> tuple[str, ...]:
@@ -172,36 +164,51 @@ class ScheduleRequest:
 
     def validate(self) -> None:
         """Cheap field validation (full graph decoding happens later)."""
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; choose from {POLICIES}"
-            )
-        if self.objective not in OBJECTIVES:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; choose from "
-                f"{OBJECTIVES}"
-            )
-        if (not isinstance(self.buffer_bytes, int)
-                or isinstance(self.buffer_bytes, bool)
-                or self.buffer_bytes <= 0):
+        _check_fields(self.policy, self.objective, (self.buffer_bytes,),
+                      self.mini_batch, self.relu_mask, self.word_bytes)
+
+
+def _is_positive_int(value: Any) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value > 0)
+
+
+def _check_fields(
+    policy: str,
+    objective: str,
+    buffer_sizes: Sequence[Any],
+    mini_batch: Any,
+    relu_mask: Any,
+    word_bytes: Any,
+) -> None:
+    """The scalar-field checks every surface shares (raises ValueError)."""
+    if policy not in POLICIES:
+        raise ValueError(
+            f"unknown policy {policy!r}; choose from {POLICIES}"
+        )
+    if objective not in OBJECTIVES:
+        raise ValueError(
+            f"unknown objective {objective!r}; choose from {OBJECTIVES}"
+        )
+    for buffer_bytes in buffer_sizes:
+        if not _is_positive_int(buffer_bytes):
             raise ValueError(
                 f"buffer_bytes must be a positive integer, got "
-                f"{self.buffer_bytes!r}"
+                f"{buffer_bytes!r}"
             )
-        if self.mini_batch is not None and (
-                not isinstance(self.mini_batch, int)
-                or isinstance(self.mini_batch, bool)
-                or self.mini_batch <= 0):
-            raise ValueError(
-                f"mini_batch must be a positive integer, got "
-                f"{self.mini_batch!r}"
-            )
-        if not (self.relu_mask is None or self.relu_mask == "auto"
-                or isinstance(self.relu_mask, bool)):
-            raise ValueError(
-                f"relu_mask must be true, false, or 'auto', got "
-                f"{self.relu_mask!r}"
-            )
+    if mini_batch is not None and not _is_positive_int(mini_batch):
+        raise ValueError(
+            f"mini_batch must be a positive integer, got {mini_batch!r}"
+        )
+    if not (relu_mask is None or relu_mask == "auto"
+            or isinstance(relu_mask, bool)):
+        raise ValueError(
+            f"relu_mask must be true, false, or 'auto', got {relu_mask!r}"
+        )
+    if not _is_positive_int(word_bytes):
+        raise ValueError(
+            f"word_bytes must be a positive integer, got {word_bytes!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -321,288 +328,8 @@ class ScheduleResult:
 
 
 # ---------------------------------------------------------------------------
-# sweep-job wire types (the distributed /v1/jobs surface)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepJobRequest:
-    """One queued sweep job, in wire-friendly form.
-
-    What ``POST /v1/jobs`` carries and ``mbs-repro submit-sweep``
-    builds: a registered experiment artifact plus the sweep axes to
-    grid over.  ``axes=None`` grids the spec's declared default sweep
-    axes — exactly what ``mbs-repro sweep <artifact>`` would run, in
-    the same deterministic point order.  ``max_attempts`` and
-    ``lease_timeout_s`` override the coordinator's defaults for this
-    job only; ``None`` inherits them.
-    """
-
-    artifact: str
-    axes: Mapping[str, Sequence[Any]] | None = None
-    quick: bool = False
-    max_attempts: int | None = None
-    lease_timeout_s: float | None = None
-
-    _WIRE_KEYS = ("artifact", "axes", "quick", "max_attempts",
-                  "lease_timeout_s")
-
-    def to_wire(self) -> dict[str, Any]:
-        wire: dict[str, Any] = {"schema": SCHEMA_VERSION}
-        for key in self._WIRE_KEYS:
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if key == "axes":
-                value = {k: list(v) for k, v in value.items()}
-            wire[key] = value
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, Any]) -> "SweepJobRequest":
-        """Decode and validate a job submission (HTTP body / CLI JSON)."""
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"job request must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        schema = wire.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported job schema {schema!r}; this build speaks "
-                f"schema {SCHEMA_VERSION}"
-            )
-        unknown = set(wire) - set(cls._WIRE_KEYS) - {"schema"}
-        if unknown:
-            raise ValueError(
-                f"unknown job request key(s) {sorted(unknown)}; allowed: "
-                f"{list(cls._WIRE_KEYS)}"
-            )
-        req = cls(**{k: wire[k] for k in cls._WIRE_KEYS if k in wire})
-        req.validate()
-        return req
-
-    def validate(self) -> None:
-        """Field validation with path-qualified messages."""
-        if not isinstance(self.artifact, str) or not self.artifact:
-            raise ValueError(
-                f"artifact: expected a registered experiment name, got "
-                f"{self.artifact!r}"
-            )
-        if self.axes is not None:
-            if not isinstance(self.axes, Mapping):
-                raise ValueError(
-                    f"axes: expected an object mapping axis name to a "
-                    f"list of values, got {type(self.axes).__name__}"
-                )
-            for name, values in self.axes.items():
-                if not isinstance(name, str) or not name:
-                    raise ValueError(
-                        f"axes: axis names must be non-empty strings, "
-                        f"got {name!r}"
-                    )
-                if (isinstance(values, (str, bytes))
-                        or not isinstance(values, Sequence)
-                        or len(values) == 0):
-                    raise ValueError(
-                        f"axes.{name}: expected a non-empty array of "
-                        f"values, got {values!r}"
-                    )
-        if not isinstance(self.quick, bool):
-            raise ValueError(
-                f"quick: expected a boolean, got {self.quick!r}"
-            )
-        if self.max_attempts is not None and (
-                not isinstance(self.max_attempts, int)
-                or isinstance(self.max_attempts, bool)
-                or self.max_attempts < 1):
-            raise ValueError(
-                f"max_attempts: expected a positive integer, got "
-                f"{self.max_attempts!r}"
-            )
-        if self.lease_timeout_s is not None and (
-                isinstance(self.lease_timeout_s, bool)
-                or not isinstance(self.lease_timeout_s, (int, float))
-                or self.lease_timeout_s <= 0):
-            raise ValueError(
-                f"lease_timeout_s: expected a positive number, got "
-                f"{self.lease_timeout_s!r}"
-            )
-
-    def describe(self) -> str:
-        axes = (
-            "its default sweep axes" if self.axes is None
-            else " x ".join(
-                f"{name}[{len(values)}]"
-                for name, values in self.axes.items()
-            )
-        )
-        return (
-            f"sweep job: {self.artifact} over {axes}"
-            + (" [quick]" if self.quick else "")
-        )
-
-
-@dataclass(frozen=True)
-class LeaseGrant:
-    """One batch of sweep points granted to a worker.
-
-    What ``POST /v1/lease`` returns: the points (grid index +
-    parameter overrides) the worker must compute before the lease
-    expires, plus everything it needs to rebuild the tasks locally
-    (artifact name, quick flag).  The worker extends the lease by
-    heartbeating at least once per ``lease_timeout_s``; a silent
-    worker's points are re-queued for someone else.
-    """
-
-    job_id: str
-    lease_id: str
-    worker: str
-    artifact: str
-    quick: bool
-    lease_timeout_s: float
-    points: tuple[Mapping[str, Any], ...] = ()
-
-    _WIRE_KEYS = ("job_id", "lease_id", "worker", "artifact", "quick",
-                  "lease_timeout_s", "points")
-
-    def to_wire(self) -> dict[str, Any]:
-        wire: dict[str, Any] = {"schema": SCHEMA_VERSION}
-        for key in self._WIRE_KEYS:
-            value = getattr(self, key)
-            if key == "points":
-                value = [
-                    {"index": p["index"], "overrides": dict(p["overrides"])}
-                    for p in value
-                ]
-            wire[key] = value
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, Any]) -> "LeaseGrant":
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"lease grant must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        missing = [k for k in cls._WIRE_KEYS if k not in wire]
-        if missing:
-            raise ValueError(f"lease grant missing key(s) {missing}")
-        kwargs = {k: wire[k] for k in cls._WIRE_KEYS}
-        points = kwargs["points"]
-        if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
-            raise ValueError(
-                f"points: expected an array, got {type(points).__name__}"
-            )
-        decoded = []
-        for i, p in enumerate(points):
-            if not isinstance(p, Mapping):
-                raise ValueError(
-                    f"points[{i}]: expected an object, got "
-                    f"{type(p).__name__}"
-                )
-            index = p.get("index")
-            if not isinstance(index, int) or isinstance(index, bool) \
-                    or index < 0:
-                raise ValueError(
-                    f"points[{i}].index: expected a non-negative "
-                    f"integer, got {index!r}"
-                )
-            overrides = p.get("overrides")
-            if not isinstance(overrides, Mapping):
-                raise ValueError(
-                    f"points[{i}].overrides: expected an object, got "
-                    f"{type(overrides).__name__}"
-                )
-            decoded.append({"index": index, "overrides": dict(overrides)})
-        kwargs["points"] = tuple(decoded)
-        return cls(**kwargs)
-
-    def describe(self) -> str:
-        return (
-            f"lease {self.lease_id} ({self.job_id}): "
-            f"{len(self.points)} point(s) of {self.artifact}, "
-            f"{self.lease_timeout_s:g}s lease timeout"
-        )
-
-
-@dataclass(frozen=True)
-class SweepJobStatus:
-    """Progress digest of one queued sweep job: what every poll returns.
-
-    ``state`` is ``running`` while any point is pending or leased,
-    ``done`` when every point has a manifest, and ``failed`` when the
-    queue has drained but some points were poisoned (failed
-    ``max_attempts`` times).
-    """
-
-    job_id: str
-    artifact: str
-    quick: bool
-    state: str
-    total: int
-    pending: int
-    leased: int
-    done: int
-    poisoned: int
-    max_attempts: int
-    lease_timeout_s: float
-
-    _WIRE_KEYS = ("job_id", "artifact", "quick", "state", "total",
-                  "pending", "leased", "done", "poisoned", "max_attempts",
-                  "lease_timeout_s")
-
-    def to_wire(self) -> dict[str, Any]:
-        wire: dict[str, Any] = {"schema": SCHEMA_VERSION}
-        for key in self._WIRE_KEYS:
-            wire[key] = getattr(self, key)
-        return wire
-
-    @classmethod
-    def from_wire(cls, wire: Mapping[str, Any]) -> "SweepJobStatus":
-        if not isinstance(wire, Mapping):
-            raise ValueError(
-                f"job status must be a JSON object, got "
-                f"{type(wire).__name__}"
-            )
-        missing = [k for k in cls._WIRE_KEYS if k not in wire]
-        if missing:
-            raise ValueError(f"job status missing key(s) {missing}")
-        return cls(**{k: wire[k] for k in cls._WIRE_KEYS})
-
-    def describe(self) -> str:
-        return (
-            f"{self.job_id}: {self.artifact} [{self.state}] "
-            f"{self.done}/{self.total} done ({self.leased} leased, "
-            f"{self.pending} pending, {self.poisoned} poisoned)"
-        )
-
-
-# ---------------------------------------------------------------------------
 # the facade calls
 # ---------------------------------------------------------------------------
-
-def _apply_renamed_kwargs(kwargs: dict[str, Any],
-                          given: dict[str, Any]) -> dict[str, Any]:
-    """Map deprecated internal spellings onto the facade's, warn once."""
-    for old, new in _RENAMED_KWARGS.items():
-        if old not in kwargs:
-            continue
-        if given.get(new) is not None:
-            raise TypeError(
-                f"got both {new!r} and its deprecated spelling {old!r}"
-            )
-        if old not in _warned_kwargs:
-            _warned_kwargs.add(old)
-            warnings.warn(
-                f"keyword {old!r} is deprecated on the repro.api facade; "
-                f"use {new!r}",
-                DeprecationWarning, stacklevel=3,
-            )
-        given[new] = kwargs.pop(old)
-    if kwargs:
-        raise TypeError(f"unexpected keyword argument(s) {sorted(kwargs)}")
-    return given
-
 
 def _coerce_network(network: Network | str | Mapping | ScheduleRequest,
                     ) -> tuple[Network, str | None]:
@@ -626,10 +353,11 @@ def _evaluate(
     net: Network,
     sched: Schedule,
     cfg: WaveCoreConfig,
+    word_bytes: int = WORD_BYTES,
     degraded: bool = False,
 ) -> ScheduleResult:
     """Price a finished schedule with the evaluators (exact numbers)."""
-    rep = compute_traffic(net, sched)
+    rep = compute_traffic(net, sched, TrafficOptions(word_bytes=word_bytes))
     step = simulate_step(net, sched, cfg, traffic=rep)
     groups = tuple(
         GroupSummary(
@@ -653,7 +381,7 @@ def _evaluate(
         objective=sched.objective,
         buffer_bytes=sched.buffer_bytes,
         mini_batch=sched.mini_batch,
-        word_bytes=WORD_BYTES,
+        word_bytes=word_bytes,
         relu_mask=sched.relu_mask,
         branch_reuse=sched.branch_reuse,
         groups=groups,
@@ -668,7 +396,7 @@ def _evaluate(
 
 
 def price(
-    network: Network | str | Mapping | ScheduleRequest | None = None,
+    network: Network | str | Mapping | ScheduleRequest,
     policy: str = "mbs-auto",
     *,
     buffer_bytes: int = DEFAULT_BUFFER_BYTES,
@@ -677,7 +405,6 @@ def price(
     relu_mask: bool | str | None = None,
     word_bytes: int = WORD_BYTES,
     hardware: WaveCoreConfig | None = None,
-    **deprecated: Any,
 ) -> ScheduleResult:
     """Build and price one schedule; the single source of truth.
 
@@ -689,14 +416,9 @@ def price(
     evaluation; it defaults to the policy's Tab. 3 configuration at
     ``buffer_bytes`` — exactly what ``mbs-repro schedule`` has always
     simulated, so the CLI, this facade, and the HTTP server agree
-    bit-for-bit.
+    bit-for-bit.  Invalid scalar fields raise the same ``ValueError``
+    :meth:`ScheduleRequest.validate` does.
     """
-    kwargs = _apply_renamed_kwargs(deprecated, {
-        "network": network, "hardware": hardware,
-    })
-    network, hardware = kwargs["network"], kwargs["hardware"]
-    if network is None:
-        raise TypeError("price() missing required argument: 'network'")
     if isinstance(network, ScheduleRequest):
         req = network
         return price(
@@ -706,6 +428,8 @@ def price(
             relu_mask=req.relu_mask, word_bytes=req.word_bytes,
             hardware=hardware,
         )
+    _check_fields(policy, objective, (buffer_bytes,), mini_batch,
+                  relu_mask, word_bytes)
     net, _ = _coerce_network(network)
     cfg = hardware if hardware is not None else config_for_policy(
         policy, buffer_bytes=buffer_bytes
@@ -716,11 +440,11 @@ def price(
         cfg=cfg if objective in HARDWARE_OBJECTIVES else None,
         relu_mask=relu_mask,
     )
-    return _evaluate(net, sched, cfg)
+    return _evaluate(net, sched, cfg, word_bytes)
 
 
 def sweep(
-    network: Network | str | Mapping | None = None,
+    network: Network | str | Mapping,
     policy: str = "mbs-auto",
     buffer_sizes: Sequence[int] = (),
     *,
@@ -730,7 +454,6 @@ def sweep(
     word_bytes: int = WORD_BYTES,
     hardware: WaveCoreConfig | None = None,
     caches: SweepCaches | None = None,
-    **deprecated: Any,
 ) -> list[ScheduleResult]:
     """Price one schedule per buffer size through the batch sweep engine.
 
@@ -740,14 +463,10 @@ def sweep(
     an order of magnitude faster for dense ``mbs-auto`` sweeps.  Pass
     ``caches`` to read the memo hit/miss counters afterwards.
     """
-    kwargs = _apply_renamed_kwargs(deprecated, {
-        "network": network, "hardware": hardware,
-    })
-    network, hardware = kwargs["network"], kwargs["hardware"]
-    if network is None:
-        raise TypeError("sweep() missing required argument: 'network'")
     if not buffer_sizes:
         raise ValueError("sweep() needs at least one buffer size")
+    _check_fields(policy, objective, buffer_sizes, mini_batch, relu_mask,
+                  word_bytes)
     net, _ = _coerce_network(network)
     scheds = sweep_schedules(
         net, policy, buffer_sizes, mini_batch=mini_batch,
@@ -759,6 +478,7 @@ def sweep(
             net, sched,
             hardware if hardware is not None
             else config_for_policy(policy, buffer_bytes=buffer_bytes),
+            word_bytes,
         )
         for buffer_bytes, sched in zip(buffer_sizes, scheds)
     ]
@@ -814,9 +534,5 @@ def degraded_result(req: ScheduleRequest,
         net, "mbs2", buffer_bytes=req.buffer_bytes,
         mini_batch=req.mini_batch, word_bytes=req.word_bytes,
     )
-    return _evaluate(net, sched, cfg, degraded=True)
+    return _evaluate(net, sched, cfg, req.word_bytes, degraded=True)
 
-
-def _reset_deprecation_warnings() -> None:
-    """Test hook: make the warn-once shims warn again."""
-    _warned_kwargs.clear()

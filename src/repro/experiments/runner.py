@@ -20,10 +20,8 @@ Subcommands::
     mbs-repro sweep-schedule <network> [policy] [--buffers MiB,..]
                              [--objective OBJ]
     mbs-repro serve [--host H] [--port P] [--workers N] [--timeout S]
-                    [--lease-timeout S] [--max-attempts N]
-    mbs-repro submit-sweep <artifact> [--set axis=v1,v2 ...] [--quick]
-                           [--coordinator URL] [--wait] [--out DIR]
-    mbs-repro work --coordinator URL [--jobs N] [--batch M]
+                    [--max-pending N] [--cache-dir DIR] [--no-cache]
+                    [--cache-max-entries N] [--cache-max-bytes B]
     mbs-repro export [results.json] [--full] [--jobs N]
     mbs-repro fingerprint [--spec NAME]
     mbs-repro list
@@ -47,7 +45,8 @@ restart.  ``merge`` unions the ``--out`` manifest dumps of several
 shard runs into one directory, failing on any byte-level conflict;
 ``--check REF`` additionally verifies the union is byte-identical to a
 reference dump (e.g. a single-process run) — see ``docs/caching.md``
-for the full shard/resume/merge workflow.
+for the full shard/resume/merge workflow.  Static shards are the only
+way to distribute a sweep across machines.
 
 ``fingerprint`` prints the package-wide code fingerprint (CI uses it
 in the ``actions/cache`` key for ``.mbs-cache``); ``fingerprint --spec
@@ -71,16 +70,6 @@ sweep and reports the group-price memo hit rate that makes dense
 sweeps cheap.  ``bench --profile`` runs each produce-fn under
 :mod:`cProfile` and prints the top cumulative-time functions instead
 of wall-clock rows.
-
-``submit-sweep`` and ``work`` are the dynamic-queue alternative to
-static ``--shard`` partitioning: ``submit-sweep`` enqueues one sweep
-job on a running ``serve`` coordinator (``--wait`` polls it to
-completion, ``--out DIR`` downloads the manifests into a
-``merge``-compatible dump), and ``work`` leases point batches from the
-coordinator, computes them through the normal cached engine, and
-uploads manifests until every job is terminal — see
-``docs/distributed.md`` for lease/retry semantics and how the queue
-composes with ``--shard`` and ``--resume``.
 
 Legacy form ``mbs-repro <artifact> [driver args]`` still dispatches to
 the driver module directly (always recomputes).
@@ -107,8 +96,7 @@ from repro.runtime import (
 )
 
 SUBCOMMANDS = ("run", "all", "sweep", "merge", "bench", "schedule",
-               "sweep-schedule", "serve", "submit-sweep", "work",
-               "export", "fingerprint", "list")
+               "sweep-schedule", "serve", "export", "fingerprint", "list")
 
 
 def _schedule_command(rest: list[str]) -> int:
@@ -170,7 +158,8 @@ def _schedule_command(rest: list[str]) -> int:
             objective=args.objective,
         )
     except ValueError as exc:
-        # unknown network / policy / objective combination: usage error
+        # unknown network / policy / objective, or a field the shared
+        # request validator rejects: usage error
         print(str(exc).strip("'\""), file=sys.stderr)
         return 2
     if args.as_json:
@@ -255,7 +244,6 @@ def _serve_command(rest: list[str]) -> int:
     """Run the scheduling-as-a-service HTTP server until interrupted."""
     import asyncio
 
-    from repro.runtime.journal import JournalError
     from repro.serve import run_server
 
     parser = argparse.ArgumentParser(
@@ -263,8 +251,7 @@ def _serve_command(rest: list[str]) -> int:
         usage="mbs-repro serve [--host H] [--port P] [--workers N] "
               "[--timeout S] [--max-pending N] [--cache-dir DIR] "
               "[--no-cache] [--cache-max-entries N] "
-              "[--cache-max-bytes B] [--lease-timeout S] "
-              "[--max-attempts N] [--state-dir DIR]",
+              "[--cache-max-bytes B]",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787)
@@ -277,11 +264,6 @@ def _serve_command(rest: list[str]) -> int:
     # store without limit.  0 disables a bound (unbounded).
     parser.add_argument("--cache-max-entries", type=int, default=4096)
     parser.add_argument("--cache-max-bytes", type=int, default=0)
-    # work-queue defaults for hosted sweep jobs (/v1/jobs)
-    parser.add_argument("--lease-timeout", type=float, default=60.0)
-    parser.add_argument("--max-attempts", type=int, default=3)
-    # journal + snapshots: a restart on the same dir resumes the queue
-    parser.add_argument("--state-dir", default=None)
     try:
         args = parser.parse_args(rest)
     except SystemExit:
@@ -290,10 +272,6 @@ def _serve_command(rest: list[str]) -> int:
             or args.cache_max_entries < 0 or args.cache_max_bytes < 0):
         print("serve: --workers/--max-pending/--cache-max-* must be "
               ">= 0 and --timeout > 0", file=sys.stderr)
-        return 2
-    if args.lease_timeout <= 0 or args.max_attempts < 1:
-        print("serve: --lease-timeout must be > 0 and --max-attempts "
-              ">= 1", file=sys.stderr)
         return 2
     cache = None if args.no_cache else (
         ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
@@ -305,166 +283,9 @@ def _serve_command(rest: list[str]) -> int:
             cache=cache,
             cache_max_entries=args.cache_max_entries or None,
             cache_max_bytes=args.cache_max_bytes or None,
-            lease_timeout_s=args.lease_timeout,
-            max_attempts=args.max_attempts,
-            state_dir=args.state_dir,
         ))
-    except JournalError as exc:
-        print(f"serve: cannot restore state: {exc}", file=sys.stderr)
-        return 1
     except KeyboardInterrupt:
         print("\nserve: interrupted, shutting down")
-    return 0
-
-
-def _submit_sweep_command(rest: list[str]) -> int:
-    """Enqueue one sweep job on a running coordinator.
-
-    A thin shell over :class:`repro.api.SweepJobRequest` +
-    :class:`~repro.serve.worker.CoordinatorClient`.  A submission the
-    coordinator rejects (unknown artifact, malformed axis) prints the
-    server's path-qualified message and exits 1.
-    """
-    import time as _time
-
-    from repro import api
-    from repro.runtime import manifest_bytes as _manifest_bytes
-    from repro.serve.worker import CoordinatorClient, CoordinatorError
-
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro submit-sweep", add_help=False,
-        usage="mbs-repro submit-sweep <artifact> [--set axis=v1,v2 ...] "
-              "[--quick] [--coordinator URL] [--lease-timeout S] "
-              "[--max-attempts N] [--wait] [--poll S] [--out DIR]",
-    )
-    parser.add_argument("artifact", nargs="?")
-    parser.add_argument("--set", action="append", default=[],
-                        metavar="axis=v1,v2")
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--coordinator", default="http://127.0.0.1:8787")
-    parser.add_argument("--lease-timeout", type=float, default=None)
-    parser.add_argument("--max-attempts", type=int, default=None)
-    parser.add_argument("--wait", action="store_true")
-    parser.add_argument("--poll", type=float, default=1.0)
-    parser.add_argument("--out", metavar="DIR", default=None)
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if not args.artifact:
-        print("usage: mbs-repro submit-sweep <artifact> "
-              "[--set axis=v1,v2 ...] [--quick] [--coordinator URL] "
-              "[--wait] [--out DIR]")
-        return 2
-    try:
-        axes = _parse_sets(args.set, multi=True)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    request = api.SweepJobRequest(
-        artifact=args.artifact,
-        axes=axes or None,
-        quick=args.quick,
-        max_attempts=args.max_attempts,
-        lease_timeout_s=args.lease_timeout,
-    )
-    try:
-        client = CoordinatorClient(args.coordinator)
-    except ValueError as exc:
-        print(f"submit-sweep: {exc}", file=sys.stderr)
-        return 2
-    try:
-        status = client.submit(request)
-    except CoordinatorError as exc:
-        print(f"submit-sweep: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"submit-sweep: cannot reach {args.coordinator}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(status.describe())
-    if args.wait:
-        while status.state == "running":
-            _time.sleep(args.poll)
-            status = client.job(status.job_id)
-        print(status.describe())
-    if args.out:
-        wire = client.manifests(status.job_id)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for manifest in wire["manifests"]:
-            name = f"{manifest['spec']}--{manifest['key']}.json"
-            (out / name).write_bytes(_manifest_bytes(manifest))
-        print(f"wrote {len(wire['manifests'])} manifest(s) to {out}")
-    return 0 if status.state != "failed" else 1
-
-
-def _work_command(rest: list[str]) -> int:
-    """Run one sweep worker against a coordinator until jobs drain."""
-    from repro.serve.worker import (
-        CoordinatorClient,
-        CoordinatorError,
-        work_loop,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="mbs-repro work", add_help=False,
-        usage="mbs-repro work --coordinator URL [--jobs N] [--batch M] "
-              "[--poll S] [--cache-dir DIR] [--no-cache] "
-              "[--worker-id ID] [--timeout S] [--max-leases N] "
-              "[--reconnect S]",
-    )
-    parser.add_argument("--coordinator", default="http://127.0.0.1:8787")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--poll", type=float, default=1.0)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--worker-id", default=None)
-    parser.add_argument("--timeout", type=float, default=None)
-    # fault-injection hook: sleep after each lease grant before
-    # computing (the kill tests use it to die while holding a lease)
-    parser.add_argument("--stall", type=float, default=0.0)
-    parser.add_argument("--max-leases", type=int, default=None)
-    # how long the coordinator may stay unreachable before the worker
-    # gives up (a bounce within this budget looks like a slow poll)
-    parser.add_argument("--reconnect", type=float, default=60.0)
-    try:
-        args = parser.parse_args(rest)
-    except SystemExit:
-        return 2
-    if args.jobs < 1 or (args.batch is not None and args.batch < 1):
-        print("work: --jobs and --batch must be >= 1", file=sys.stderr)
-        return 2
-    if args.reconnect < 0:
-        print("work: --reconnect must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        client = CoordinatorClient(args.coordinator)
-    except ValueError as exc:
-        print(f"work: {exc}", file=sys.stderr)
-        return 2
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        work_loop(
-            client,
-            worker=args.worker_id,
-            jobs=args.jobs,
-            batch=args.batch,
-            poll_s=args.poll,
-            cache=cache,
-            use_cache=not args.no_cache,
-            timeout_s=args.timeout,
-            stall_s=args.stall,
-            max_leases=args.max_leases,
-            reconnect_s=args.reconnect,
-        )
-    except KeyboardInterrupt:
-        print("\nwork: interrupted", file=sys.stderr)
-        return 1
-    except (CoordinatorError, OSError) as exc:
-        print(f"work: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -638,7 +459,7 @@ def _cmd_run(args) -> int:
         overrides = _parse_sets(args.set)
         task = Task(spec, overrides, quick=args.quick)
         task.params()
-    except (KeyError, SystemExit) as exc:
+    except (KeyError, TypeError, SystemExit) as exc:
         print(exc, file=sys.stderr)
         return 2
     results = run_tasks(
@@ -763,6 +584,12 @@ def _parse_shard(text: str) -> tuple[int, int]:
     return i, n
 
 
+def format_point_line(spec_name: str, overrides, status: str) -> str:
+    """One per-point ``sweep`` progress line."""
+    label = ", ".join(f"{k}={v!r}" for k, v in overrides.items()) or "(base)"
+    return f"  [{status:>7}] {spec_name}: {label}"
+
+
 def _cmd_sweep(args) -> int:
     from repro.runtime import expand_grid, task_key
 
@@ -789,7 +616,7 @@ def _cmd_sweep(args) -> int:
         ]
         for t in tasks:
             t.params()
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         print(exc, file=sys.stderr)
         return 2
     total = len(tasks)
@@ -816,10 +643,7 @@ def _cmd_sweep(args) -> int:
     print(f"sweep {spec.name}: {len(tasks)} of {total} point(s) over "
           f"{', '.join(axes)}  (jobs={args.jobs}){shard_note}"
           + (f"  resume-skipped={len(skipped)}" if args.resume else ""))
-    # Per-point progress, in the same spelling a queue worker logs —
-    # long shards are no longer silent until the end table.
-    from repro.runtime import format_point_line
-
+    # Per-point progress: long shards are not silent until the end table.
     for t in skipped:
         print(format_point_line(t.spec.name, t.overrides, "skipped"))
     results = run_tasks(
@@ -833,16 +657,16 @@ def _cmd_sweep(args) -> int:
         _write_out(results, args.out, per_spec_names=False)
     from repro.experiments.tables import format_table
 
-    def point_label(t: Task) -> str:
+    def row_label(t: Task) -> str:
         return " ".join(
             f"{k}={v}" for k, v in sorted(t.overrides.items())
         ) or "(defaults)"
 
     rows = [
-        [point_label(t), r.status, f"{r.seconds:6.2f}", r.key]
+        [row_label(t), r.status, f"{r.seconds:6.2f}", r.key]
         for t, r in zip(tasks, results)
     ] + [
-        [point_label(t), "skipped", f"{0.0:6.2f}",
+        [row_label(t), "skipped", f"{0.0:6.2f}",
          task_key(t.spec, t.params())]
         for t in skipped
     ]
@@ -1042,10 +866,6 @@ def main(argv: list[str] | None = None) -> int:
         return _sweep_schedule_command(argv[1:])
     if argv[0] == "serve":
         return _serve_command(argv[1:])
-    if argv[0] == "submit-sweep":
-        return _submit_sweep_command(argv[1:])
-    if argv[0] == "work":
-        return _work_command(argv[1:])
     if argv[0] in ALL_EXPERIMENTS:
         # legacy direct dispatch: always recompute, print the figure
         ALL_EXPERIMENTS[argv[0]].main(argv[1:])

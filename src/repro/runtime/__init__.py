@@ -14,16 +14,10 @@ schedulable units:
   spec name + parameters + the spec's dependency-closure fingerprint.
 - :mod:`repro.runtime.pool` — process-pool sweep engine with
   deterministic result ordering and per-task timeouts.
-- :mod:`repro.runtime.queue` — coordinator-side work queue for
-  distributed sweeps: leases, bounded retries, poison-point
-  quarantine, manifest-key validation.
-- :mod:`repro.runtime.journal` — fsync'd event log + compacted
-  snapshots behind ``serve --state-dir``: a restarted coordinator
-  replays it to resume half-drained jobs.
 
 The ``mbs-repro`` CLI (:mod:`repro.experiments.runner`) is a thin shell
-over these pieces; future scaling work (sharded sweeps, multi-backend,
-serving) should build on them rather than on the drivers directly.
+over these pieces; a sweep is distributed by static ``--shard I/N``
+partitions whose manifest dumps ``merge --check`` unions and verifies.
 """
 from repro.runtime.cache import (
     ResultCache,
@@ -36,17 +30,7 @@ from repro.runtime.cache import (
     task_key,
 )
 from repro.runtime.deps import ImportGraph
-from repro.runtime.journal import Journal, JournalError
 from repro.runtime.pool import Task, TaskResult, WorkerPool, run_tasks
-from repro.runtime.queue import (
-    JobQueue,
-    Lease,
-    QueueError,
-    SweepJob,
-    SweepPoint,
-    format_point_line,
-    point_label,
-)
 from repro.runtime.serialize import canonical_dumps, jsonify
 from repro.runtime.spec import (
     ExperimentSpec,
@@ -60,14 +44,7 @@ from repro.runtime.spec import (
 __all__ = [
     "ExperimentSpec",
     "ImportGraph",
-    "JobQueue",
-    "Journal",
-    "JournalError",
-    "Lease",
-    "QueueError",
     "ResultCache",
-    "SweepJob",
-    "SweepPoint",
     "Task",
     "TaskResult",
     "WorkerPool",
@@ -76,12 +53,10 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "expand_grid",
-    "format_point_line",
     "get_spec",
     "jsonify",
     "manifest_bytes",
     "module_fingerprint",
-    "point_label",
     "register",
     "reset_fingerprint_caches",
     "run_tasks",

@@ -57,11 +57,17 @@ class ExperimentSpec:
         Signature defaults < spec defaults < quick overrides < caller
         overrides.  Making every parameter explicit keeps cache keys
         canonical: the same effective call always hashes identically.
+
+        A caller override must have its signature default's type
+        (``bool`` is not an ``int``; an ``int`` may stand for a
+        ``float``; a ``None`` default accepts anything), else
+        ``TypeError`` — before the produce-fn ever sees the value.
         """
         params: dict[str, Any] = {}
         for p in inspect.signature(self.produce).parameters.values():
             if p.default is not inspect.Parameter.empty:
                 params[p.name] = p.default
+        signature_defaults = dict(params)
         params.update(self.defaults)
         if quick:
             params.update(self.quick)
@@ -71,11 +77,25 @@ class ExperimentSpec:
                 f"{self.name}: unknown parameter(s) {unknown}; "
                 f"accepted: {sorted(params)}"
             )
+        for name, value in (overrides or {}).items():
+            default = signature_defaults.get(name)
+            if default is not None and not _same_type(value, default):
+                raise TypeError(
+                    f"{self.name}: parameter {name!r} expects "
+                    f"{type(default).__name__} (default {default!r}), "
+                    f"got {type(value).__name__} {value!r}"
+                )
         params.update(overrides or {})
         return params
 
     def missing_artifact_keys(self, result: Mapping[str, Any]) -> list[str]:
         return [k for k in self.artifact if k not in result]
+
+
+def _same_type(value: Any, default: Any) -> bool:
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}

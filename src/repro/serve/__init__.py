@@ -9,13 +9,6 @@ over HTTP/JSON.  The split is deliberate:
 - :mod:`repro.serve.server` — :class:`Server`: a stdlib-only
   ``asyncio.start_server`` HTTP/1.1 front end mapping routes onto the
   engine.
-- :mod:`repro.serve.jobs` — :class:`JobHost`: the ``/v1/jobs`` work
-  queue (leases, retries, poison points) over
-  :class:`~repro.runtime.queue.JobQueue`, feeding the same
-  content-addressed cache local sweeps use.
-- :mod:`repro.serve.worker` — :class:`CoordinatorClient` +
-  :func:`work_loop`: the ``mbs-repro work`` client that leases,
-  computes, heartbeats, and uploads.
 
 All layers speak the :mod:`repro.api` wire types, so an HTTP response
 body is exactly ``ScheduleResult.to_wire()`` — the same costs, bit for
@@ -28,27 +21,15 @@ from repro.serve.engine import (
     price_batch_wire,
     price_wire,
 )
-from repro.serve.jobs import JobHost
 from repro.serve.server import MAX_BODY_BYTES, Server, run_server
-from repro.serve.worker import (
-    CoordinatorClient,
-    CoordinatorError,
-    default_worker_id,
-    work_loop,
-)
 
 __all__ = [
     "CACHE_SPEC",
-    "CoordinatorClient",
-    "CoordinatorError",
     "EngineStats",
-    "JobHost",
     "MAX_BODY_BYTES",
     "ScheduleEngine",
     "Server",
-    "default_worker_id",
     "price_batch_wire",
     "price_wire",
     "run_server",
-    "work_loop",
 ]

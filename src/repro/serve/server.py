@@ -12,26 +12,16 @@ Routes::
     GET  /healthz        -> {"ok": true}
     GET  /v1/policies    -> {"schema": 1, "policies": [...]}
     GET  /v1/objectives  -> {"schema": 1, "objectives": [...]}
-    GET  /v1/stats       -> engine counters (+ queue counters)
+    GET  /v1/stats       -> engine counters
     POST /v1/schedule    -> {"schema": 1, "cached": ..., "deduped": ...,
                              "degraded": ..., "result": <ScheduleResult>}
-    POST /v1/jobs        -> submit a SweepJobRequest; SweepJobStatus back
-    GET  /v1/jobs        -> every job's SweepJobStatus
-    GET  /v1/jobs/<id>   -> one job's SweepJobStatus
-    GET  /v1/jobs/<id>/manifests    -> completed manifests, grid order
-    POST /v1/lease                  -> lease points (LeaseGrant or null)
-    POST /v1/lease/<id>/heartbeat   -> extend a live lease
-    POST /v1/lease/<id>/complete    -> upload one point's manifest
-    POST /v1/lease/<id>/fail        -> report one point's failure
 
 ``POST /v1/schedule`` accepts a :class:`~repro.api.ScheduleRequest`
 wire object (``{"schema": 1, "network": "resnet50", ...}`` or an
 inline ``"graph"`` envelope from :mod:`repro.graph.serialize`).
 Malformed JSON or a request the schema rejects is a 400 with an
-``{"error": ...}`` body, never a connection drop.  The job surface
-(:mod:`repro.serve.jobs`) adds 404 for unknown job/lease ids and 409
-for protocol conflicts — an expired lease heartbeat, or an uploaded
-manifest whose content address disagrees with the coordinator's.
+``{"error": ...}`` body, never a connection drop; any other path is
+a 404.
 """
 from __future__ import annotations
 
@@ -41,14 +31,7 @@ from typing import Any
 
 from repro import api
 from repro.graph.serialize import GraphSchemaError
-from repro.runtime.queue import (
-    ExpiredLease,
-    RejectedManifest,
-    UnknownJob,
-    UnknownLease,
-)
 from repro.serve.engine import ScheduleEngine
-from repro.serve.jobs import JobHost
 
 #: Largest accepted request body; an inline inception_v4 graph is
 #: ~100 KiB, so this is ~80x headroom, not a real ceiling.
@@ -64,23 +47,17 @@ class _BadRequest(Exception):
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict",
+    405: "Method Not Allowed",
     413: "Payload Too Large", 500: "Internal Server Error",
 }
 
 
 class Server:
-    """One listening socket in front of one :class:`ScheduleEngine`.
-
-    ``jobs`` optionally attaches a :class:`~repro.serve.jobs.JobHost`;
-    without one the ``/v1/jobs`` and ``/v1/lease`` routes answer 404.
-    """
+    """One listening socket in front of one :class:`ScheduleEngine`."""
 
     def __init__(self, engine: ScheduleEngine, *,
-                 host: str = "127.0.0.1", port: int = 0,
-                 jobs: JobHost | None = None):
+                 host: str = "127.0.0.1", port: int = 0):
         self.engine = engine
-        self.jobs = jobs
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
@@ -201,93 +178,13 @@ class Server:
         if path == "/v1/stats":
             if method != "GET":
                 return 405, {"error": "use GET"}
-            payload = {"schema": api.SCHEMA_VERSION,
-                       **self.engine.stats.to_wire()}
-            if self.jobs is not None:
-                self.jobs.tick()
-                payload["jobs"] = self.jobs.stats_wire()
-            return 200, payload
+            return 200, {"schema": api.SCHEMA_VERSION,
+                         **self.engine.stats.to_wire()}
         if path == "/v1/schedule":
             if method != "POST":
                 return 405, {"error": "use POST"}
             return await self._schedule(body)
-        if path == "/v1/jobs" or path.startswith("/v1/jobs/") \
-                or path == "/v1/lease" or path.startswith("/v1/lease/"):
-            return self._jobs_route(method, path, body)
         return 404, {"error": f"no such path: {path}"}
-
-    # -- the job/lease surface -----------------------------------------
-
-    def _jobs_route(self, method: str, path: str,
-                    body: bytes) -> tuple[int, dict[str, Any]]:
-        """Map queue protocol errors onto HTTP statuses.
-
-        Unknown job/lease ids are 404; an expired lease or a manifest
-        whose content address disagrees with the coordinator's is 409
-        (the worker must re-lease, not retry); everything else the
-        wire schema rejects is a 400 with a path-qualified message.
-        """
-        if self.jobs is None:
-            return 404, {"error": "job hosting is not enabled; start "
-                                  "the server via `mbs-repro serve`"}
-        try:
-            return self._jobs_dispatch(method, path, body)
-        except (UnknownJob, UnknownLease) as exc:
-            return 404, {"error": str(exc)}
-        except (ExpiredLease, RejectedManifest) as exc:
-            return 409, {"error": str(exc)}
-        except (ValueError, KeyError, TypeError) as exc:
-            return 400, {"error": str(exc)}
-
-    def _jobs_dispatch(self, method: str, path: str,
-                       body: bytes) -> tuple[int, dict[str, Any]]:
-        assert self.jobs is not None
-        parts = path.strip("/").split("/")
-        if parts[:2] == ["v1", "jobs"]:
-            if len(parts) == 2:
-                if method == "POST":
-                    return 200, self.jobs.submit_wire(self._json(body))
-                if method == "GET":
-                    return 200, self.jobs.jobs_wire()
-                return 405, {"error": "use GET or POST"}
-            if len(parts) == 3:
-                if method != "GET":
-                    return 405, {"error": "use GET"}
-                return 200, self.jobs.job_wire(parts[2])
-            if len(parts) == 4 and parts[3] == "manifests":
-                if method != "GET":
-                    return 405, {"error": "use GET"}
-                return 200, self.jobs.manifests_wire(parts[2])
-        elif parts[:2] == ["v1", "lease"]:
-            if len(parts) == 2:
-                if method != "POST":
-                    return 405, {"error": "use POST"}
-                return 200, self.jobs.lease_wire(self._json(body))
-            if len(parts) == 4 and parts[3] in ("heartbeat", "complete",
-                                                "fail"):
-                if method != "POST":
-                    return 405, {"error": "use POST"}
-                lease_id = parts[2]
-                if parts[3] == "heartbeat":
-                    return 200, self.jobs.heartbeat_wire(lease_id)
-                if parts[3] == "complete":
-                    return 200, self.jobs.complete_wire(
-                        lease_id, self._json(body)
-                    )
-                return 200, self.jobs.fail_wire(lease_id, self._json(body))
-        return 404, {"error": f"no such path: {path}"}
-
-    @staticmethod
-    def _json(body: bytes) -> dict[str, Any]:
-        try:
-            wire = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(
-                f"request body is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(wire, dict):
-            raise ValueError("request body must be a JSON object")
-        return wire
 
     async def _schedule(self, body: bytes) -> tuple[int, dict[str, Any]]:
         try:
@@ -338,53 +235,20 @@ async def run_server(
     cache=None,
     cache_max_entries: int | None = None,
     cache_max_bytes: int | None = None,
-    lease_timeout_s: float = 60.0,
-    max_attempts: int = 3,
-    state_dir: str | None = None,
 ) -> None:
-    """Entry point behind ``mbs-repro serve``: run until cancelled.
-
-    ``state_dir`` makes the work queue durable: every queue mutation
-    is journaled there before it is acknowledged, and a restart on the
-    same directory restores half-drained jobs (outstanding leases are
-    conservatively expired so their points re-queue).
-    """
-    from repro.runtime.queue import JobQueue
-
-    # restore (or create) the queue before anything that owns
-    # resources: an unreadable state dir must fail fast and clean
-    if state_dir is not None:
-        import repro.experiments  # noqa: F401  (populates the registry)
-        from repro.runtime.journal import Journal
-        from repro.runtime.spec import get_spec
-
-        queue = JobQueue.restore(
-            Journal(state_dir), specs=get_spec,
-            lease_timeout_s=lease_timeout_s, max_attempts=max_attempts,
-        )
-        if queue.jobs:
-            running = sum(j.open_points > 0 for j in queue.jobs.values())
-            print(f"mbs-repro serve: restored {len(queue.jobs)} job(s) "
-                  f"({running} still running) from {state_dir}")
-    else:
-        queue = JobQueue(lease_timeout_s=lease_timeout_s,
-                         max_attempts=max_attempts)
+    """Entry point behind ``mbs-repro serve``: run until cancelled."""
     engine = ScheduleEngine(cache=cache, workers=workers,
                             timeout_s=timeout_s, max_pending=max_pending,
                             cache_max_entries=cache_max_entries,
                             cache_max_bytes=cache_max_bytes)
-    jobs = JobHost(queue, cache=cache)
-    server = Server(engine, host=host, port=port, jobs=jobs)
+    server = Server(engine, host=host, port=port)
     await server.start()
     print(f"mbs-repro serve: listening on http://{server.host}:{server.port}")
     print("POST /v1/schedule with a ScheduleRequest wire object; "
-          "GET /healthz, /v1/policies, /v1/objectives, /v1/stats; "
-          "POST /v1/jobs + mbs-repro work for queued sweeps")
+          "GET /healthz, /v1/policies, /v1/objectives, /v1/stats")
     try:
         await server.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
         await server.aclose()
-        if queue.journal is not None:
-            queue.journal.close()

@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: bit-exactness, wire codecs, shims.
+"""The ``repro.api`` facade: bit-exactness, wire codecs, validation.
 
 The facade's contract is that it is *the same computation* as the
 internal entry points — not a parallel reimplementation — so every
@@ -9,13 +9,12 @@ objective.
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
 from repro import api
 from repro.core.policies import HARDWARE_OBJECTIVES, OBJECTIVES, make_schedule
-from repro.core.traffic import compute_traffic
+from repro.core.traffic import TrafficOptions, compute_traffic
 from repro.graph.serialize import network_to_dict
 from repro.types import KIB, MIB
 from repro.wavecore.config import config_for_policy
@@ -167,6 +166,13 @@ class TestRequestValidation:
                     {"schema": 1, "network": "toy_chain",
                      "buffer_bytes": bad})
 
+    def test_rejects_bad_word_bytes(self):
+        for bad in (0, -2, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="word_bytes"):
+                api.ScheduleRequest.from_wire(
+                    {"schema": 1, "network": "toy_chain",
+                     "word_bytes": bad})
+
     def test_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="unsupported request schema"):
             api.ScheduleRequest.from_wire(
@@ -189,34 +195,54 @@ class TestFrozenTypes:
             res.traffic_bytes = 0
 
 
-class TestDeprecationShims:
-    def test_old_spelling_works_and_warns_once(self):
-        api._reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = api.price(net="toy_chain", buffer_bytes=64 * KIB)
-            second = api.price(net="toy_chain", buffer_bytes=64 * KIB)
-        deps = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "'net' is deprecated" in str(deps[0].message)
-        assert first == second == api.price("toy_chain",
-                                            buffer_bytes=64 * KIB)
+BAD_SCALARS = [
+    ("buffer_bytes", -1), ("buffer_bytes", 0), ("buffer_bytes", 1.5),
+    ("mini_batch", 0), ("mini_batch", True),
+    ("word_bytes", 0), ("word_bytes", -2),
+    ("relu_mask", "sometimes"),
+]
 
-    def test_cfg_spelling_maps_to_hardware(self):
-        api._reset_deprecation_warnings()
-        cfg = config_for_policy("mbs-auto", buffer_bytes=64 * KIB)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = api.price("toy_chain", buffer_bytes=64 * KIB, cfg=cfg)
-        assert old == api.price("toy_chain", buffer_bytes=64 * KIB,
-                                hardware=cfg)
 
-    def test_both_spellings_is_an_error(self):
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                api.price(network="toy_chain", net="toy_chain")
+class TestFacadeValidation:
+    """``price``/``sweep`` run the checks ``ScheduleRequest`` runs."""
+
+    @pytest.mark.parametrize("field,bad", BAD_SCALARS)
+    def test_price_rejects_bad_scalar(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            api.price("toy_chain", "mbs2", **{field: bad})
+
+    @pytest.mark.parametrize("field,bad", BAD_SCALARS)
+    def test_wire_request_rejects_bad_scalar_alike(self, field, bad):
+        # the HTTP body's check and the Python call's give one message
+        with pytest.raises(ValueError, match=field) as wire:
+            api.ScheduleRequest.from_wire(
+                {"schema": 1, "network": "toy_chain", "policy": "mbs2",
+                 field: bad})
+        with pytest.raises(ValueError) as python:
+            api.price("toy_chain", "mbs2", **{field: bad})
+        assert str(wire.value) == str(python.value)
+
+    def test_sweep_rejects_bad_scalars(self):
+        with pytest.raises(ValueError, match="buffer_bytes"):
+            api.sweep("toy_chain", "mbs-auto", [MIB, 0])
+        with pytest.raises(ValueError, match="word_bytes"):
+            api.sweep("toy_chain", "mbs-auto", [MIB], word_bytes=0)
+
+    def test_word_bytes_reaches_the_evaluator(self):
+        net = build("toy_chain")
+        res = api.price(net, "mbs2", buffer_bytes=MIB, word_bytes=4)
+        sched = make_schedule(net, "mbs2", buffer_bytes=MIB, word_bytes=4)
+        assert res.word_bytes == 4
+        assert res.traffic_bytes == compute_traffic(
+            net, sched, TrafficOptions(word_bytes=4)).total_bytes
+        assert res.traffic_bytes != api.price(
+            net, "mbs2", buffer_bytes=MIB).traffic_bytes
+
+    def test_sweep_word_bytes_matches_price(self):
+        (swept,) = api.sweep("toy_chain", "mbs-auto", [MIB], word_bytes=4)
+        assert swept.word_bytes == 4
+        assert swept == api.price("toy_chain", "mbs-auto",
+                                  buffer_bytes=MIB, word_bytes=4)
 
     def test_unknown_kwarg_is_an_error(self):
         with pytest.raises(TypeError, match="unexpected keyword"):

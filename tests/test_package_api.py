@@ -1,5 +1,9 @@
 """Top-level package surface and CLI coverage."""
 
+import importlib
+
+import pytest
+
 import repro
 
 
@@ -22,12 +26,9 @@ def test_api_facade_surface_is_pinned():
 
     assert api.__all__ == [
         "GroupSummary",
-        "LeaseGrant",
         "MIB",
         "ScheduleRequest",
         "ScheduleResult",
-        "SweepJobRequest",
-        "SweepJobStatus",
         "objectives",
         "policies",
         "price",
@@ -37,6 +38,24 @@ def test_api_facade_surface_is_pinned():
     for name in api.__all__:
         assert hasattr(api, name), name
     assert "api" in repro.__all__
+
+
+@pytest.mark.parametrize("module", [
+    "repro.runtime.queue", "repro.runtime.journal",
+    "repro.serve.jobs", "repro.serve.worker",
+])
+def test_retired_queue_module_is_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("name", [
+    "SweepJobRequest", "LeaseGrant", "SweepJobStatus",
+])
+def test_retired_queue_wire_type_is_gone(name):
+    from repro import api
+
+    assert not hasattr(api, name)
 
 
 def test_api_facade_quick_start():

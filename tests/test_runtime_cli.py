@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments.runner import main
+from repro.experiments.runner import _parse_shard, format_point_line, main
+from repro.runtime import TaskResult, all_specs, expand_grid, get_spec
 
 
 @pytest.fixture()
@@ -45,13 +46,28 @@ class TestExitCodes:
         assert main(["run", "fig3", "--set", "net_name='no_such_net'",
                      "--cache-dir", cache_dir]) == 1
 
-    def test_mistyped_set_value_fails_inside_engine(self, capsys, cache_dir):
-        # a well-formed --set whose value has the wrong type is not a
-        # usage error: the produce-fn raises and the task fails (exit 1)
+    def test_mistyped_set_value_is_usage_error(self, capsys, cache_dir,
+                                               monkeypatch):
+        # a --set whose type differs from the produce-fn default's is
+        # rejected before anything is scheduled (exit 2, names the key)
+        from repro.experiments import runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a mistyped override reached run_tasks")
+
+        monkeypatch.setattr(runner, "run_tasks", no_run)
         assert main(["run", "fig3", "--set", "buffer_mib='ten'",
-                     "--cache-dir", cache_dir]) == 1
+                     "--cache-dir", cache_dir]) == 2
+        assert "'buffer_mib' expects int" in capsys.readouterr().err
         assert main(["run", "latency_sweep", "--set", "buffers_mib=0",
-                     "--cache-dir", cache_dir]) == 1
+                     "--cache-dir", cache_dir]) == 2
+        assert "'buffers_mib' expects tuple" in capsys.readouterr().err
+        assert main(["run", "fig6", "--set", "noise=True",
+                     "--cache-dir", cache_dir]) == 2
+        assert "'noise' expects float" in capsys.readouterr().err
+        assert main(["sweep", "fig3", "--set", "mini_batch=16,abc",
+                     "--cache-dir", cache_dir]) == 2
+        assert "'mini_batch' expects int" in capsys.readouterr().err
 
     def test_sweep_unknown_axis_is_usage_error(self, capsys, cache_dir):
         assert main(["sweep", "fig3", "--set", "bogus=1,2",
@@ -113,6 +129,44 @@ class TestExitCodes:
 
     def test_schedule_rejects_non_integer_buffer(self, capsys):
         assert main(["schedule", "toy_chain", "mbs2", "ten"]) == 2
+
+    def test_schedule_rejects_non_positive_buffer(self, capsys):
+        # the same validator the HTTP body goes through: exit 2, no price
+        assert main(["schedule", "toy_chain", "mbs2", "-1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "buffer_bytes must be a positive integer" in captured.err
+        assert captured.out == ""
+        assert main(["schedule", "resnet50", "mbs-auto", "0"]) == 2
+        assert "buffer_bytes" in capsys.readouterr().err
+
+    def test_sweep_schedule_rejects_zero_buffer(self, capsys):
+        assert main(["sweep-schedule", "toy_chain", "mbs2",
+                     "--buffers", "1,0"]) == 2
+        assert "buffer_bytes" in capsys.readouterr().err
+
+    def test_retired_worker_command_is_unknown(self, capsys):
+        assert main(["work", "--coordinator", "http://127.0.0.1:1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown artifact or command 'work'" in err
+
+    def test_retired_submit_command_is_unknown(self, capsys):
+        assert main(["submit-sweep", "fig3", "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown artifact or command 'submit-sweep'" in err
+
+    @pytest.mark.parametrize("flag", [
+        "--lease-timeout=30", "--max-attempts=3", "--state-dir=state",
+    ])
+    def test_serve_rejects_retired_queue_flags(self, capsys, monkeypatch,
+                                                flag):
+        import repro.serve
+
+        def no_server(**kwargs):
+            raise AssertionError("serve started despite a retired flag")
+
+        monkeypatch.setattr(repro.serve, "run_server", no_server)
+        assert main(["serve", "--port", "0", flag]) == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
 
     def test_schedule_unknown_network_is_usage_error(self, capsys):
         assert main(["schedule", "resnet5"]) == 2
@@ -459,6 +513,43 @@ class TestShardMergeResume:
                      "--check", str(ref)]) == 1
         assert "missing from merge: y.json" in capsys.readouterr().err
 
+    def test_merge_check_flags_extra_and_differing(self, capsys, tmp_path):
+        a, ref = tmp_path / "a", tmp_path / "ref"
+        a.mkdir(), ref.mkdir()
+        (a / "x.json").write_bytes(b'{"v": 1}\n')
+        (a / "z.json").write_bytes(b'{"v": 3}\n')
+        (ref / "x.json").write_bytes(b'{"v": 9}\n')
+        assert main(["merge", str(a), "--out", str(tmp_path / "m"),
+                     "--check", str(ref)]) == 1
+        err = capsys.readouterr().err
+        assert "not in reference: z.json" in err
+        assert "bytes differ: x.json" in err
+
+    def test_merge_check_reference_must_be_a_directory(
+            self, capsys, tmp_path):
+        a = tmp_path / "a"
+        a.mkdir()
+        (a / "x.json").write_bytes(b'{"v": 1}\n')
+        assert main(["merge", str(a), "--out", str(tmp_path / "m"),
+                     "--check", str(tmp_path / "nope")]) == 2
+        assert "--check is not a directory" in capsys.readouterr().err
+
+    def test_merge_verifies_identical_duplicates(self, capsys, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir(), b.mkdir()
+        for d in (a, b):
+            (d / "same.json").write_bytes(b'{"v": 1}\n')
+        (b / "only-b.json").write_bytes(b'{"v": 2}\n')
+        (b / "notes.txt").write_text("not a manifest\n")
+        merged = tmp_path / "m"
+        assert main(["merge", str(a), str(b), "--out", str(merged),
+                     "--check", str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "merged 2 manifest(s) from 2 dump(s)" in out
+        assert "1 duplicate(s) verified identical" in out
+        assert sorted(p.name for p in merged.iterdir()) == [
+            "only-b.json", "same.json"]
+
     def test_merge_missing_dir_is_usage_error(self, capsys, tmp_path):
         assert main(["merge", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "m")]) == 2
@@ -484,3 +575,76 @@ class TestShardMergeResume:
                     + ["--resume", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "2 of 4 point(s)" in out and "resume-skipped=2" in out
+
+
+SWEEP_SPECS = [s.name for s in all_specs()
+               if s.sweep and s.module.startswith("repro.experiments.")]
+
+
+class TestShardPartition:
+    """``--shard I/N`` deals every declared grid out exactly.
+
+    ``run_tasks`` is stubbed, so this checks which points each shard
+    would run without producing any of them.
+    """
+
+    @staticmethod
+    def planned(monkeypatch, capsys, argv):
+        from repro.experiments import runner
+
+        seen = []
+
+        def fake_run_tasks(tasks, **kwargs):
+            seen.extend(tasks)
+            return [TaskResult(t.spec.name, t.params(), "key", "ran")
+                    for t in tasks]
+
+        monkeypatch.setattr(runner, "run_tasks", fake_run_tasks)
+        assert main(argv) == 0
+        capsys.readouterr()
+        return [dict(t.overrides) for t in seen]
+
+    @pytest.mark.parametrize("name", SWEEP_SPECS)
+    def test_shards_deal_the_grid_round_robin(
+            self, monkeypatch, capsys, cache_dir, name):
+        base = ["sweep", name, "--cache-dir", cache_dir]
+        full = self.planned(monkeypatch, capsys, base)
+        assert full == expand_grid(get_spec(name).sweep)
+        for n in (2, 3):
+            for i in range(n):
+                shard = self.planned(monkeypatch, capsys,
+                                     base + ["--shard", f"{i}/{n}"])
+                assert shard == full[i::n]
+
+
+class TestParseShard:
+    @pytest.mark.parametrize("text,expected", [
+        ("0/1", (0, 1)), ("1/2", (1, 2)), ("3/4", (3, 4)), ("0/78", (0, 78)),
+    ])
+    def test_valid(self, text, expected):
+        assert _parse_shard(text) == expected
+
+    @pytest.mark.parametrize("text", [
+        "2/2", "3/2", "-1/2", "0/0", "x/2", "1", "1/", "/2", "",
+    ])
+    def test_invalid(self, text):
+        with pytest.raises(SystemExit, match="--shard expects I/N"):
+            _parse_shard(text)
+
+
+class TestPointLine:
+    def test_status_column_is_aligned(self):
+        lines = [format_point_line("fig3", {"mini_batch": 16}, status)
+                 for status in ("ran", "cached", "skipped", "error",
+                                "timeout")]
+        assert len({line.index("]") for line in lines}) == 1
+        assert all(line.endswith("] fig3: mini_batch=16") for line in lines)
+
+    def test_values_print_as_literals(self):
+        line = format_point_line(
+            "fig3", {"net_name": "resnet50", "buffer_mib": 5}, "ran")
+        assert line.endswith("fig3: net_name='resnet50', buffer_mib=5")
+
+    def test_no_overrides_is_base(self):
+        assert format_point_line("tab2", {}, "cached").endswith(
+            "tab2: (base)")

@@ -394,13 +394,36 @@ class TestHttp:
         assert status == 400
         assert "buffer_bytes" in body["error"]
 
+    def test_bad_word_bytes_is_400(self):
+        def fn(port):
+            return [_post(port, _wire(word_bytes=bad)) for bad in (0, -2)]
+
+        for status, body in run(_with_server(fn)):
+            assert status == 400
+            assert "word_bytes must be a positive integer" in body["error"]
+
+    def test_word_bytes_is_priced_and_reported(self):
+        status, body = run(_with_server(
+            lambda p: _post(p, _wire(word_bytes=4))))
+        assert status == 200
+        result = body["result"]
+        assert result["word_bytes"] == 4
+        assert result == api.price(
+            api.ScheduleRequest.from_wire(_wire(word_bytes=4))).to_wire()
+
     def test_non_object_body_is_400(self):
         status, body = run(_with_server(lambda p: _post(p, "[1, 2]")))
         assert status == 400
 
     def test_unknown_path_is_404(self):
-        status, _ = run(_with_server(lambda p: _get(p, "/v2/schedule")))
-        assert status == 404
+        # the retired sweep-queue routes are unknown paths like any other
+        def fn(port):
+            return [_get(port, "/v2/schedule"), _get(port, "/v1/jobs"),
+                    _post(port, {}, "/v1/jobs"), _post(port, {}, "/v1/lease")]
+
+        replies = run(_with_server(fn))
+        assert [status for status, _ in replies] == [404] * 4
+        assert replies[1][1] == {"error": "no such path: /v1/jobs"}
 
     def test_wrong_method_is_405(self):
         def fn(port):
